@@ -90,7 +90,7 @@ def run_experiment():
         "Python object writes are atomic reference swaps, so races "
         "manifest as stale (Jacobi-style) reads slowing convergence; "
         "the paper's C++ in-place vector writes add torn reads and "
-        "stronger oscillation (see EXPERIMENTS.md)"
+        "stronger oscillation"
     )
     return fig, trace_violations
 

@@ -177,7 +177,7 @@ def test_fig4_async_beats_sync_snapshots(run_once):
     sync_penalty = _user_done_time(sync_stall, budget) - sync_done
     async_penalty = _user_done_time(async_stall, budget) - async_done
     print(f"penalties: sync={sync_penalty:.4f} async={async_penalty:.4f}")
-    # Directional claim at this reduced scale (see EXPERIMENTS.md): the
+    # Directional claim at this reduced scale: the
     # stalled sync run's worst no-progress window stays the longest.
     assert flat_async_stall < flat_sync_stall
     assert flat_sync_stall > 0.5 * stall

@@ -85,7 +85,7 @@ def run_fig9a():
         f"total updates: BSP={bsp_updates}, dynamic={dyn_updates} "
         f"({dyn_updates / bsp_updates:.0%}) — the paper reports ~50% on "
         "real Netflix data, whose convergence skew exceeds our "
-        "synthetic generator's (see EXPERIMENTS.md)"
+        "synthetic generator's"
     )
     return fig, bsp_updates, dyn_updates
 

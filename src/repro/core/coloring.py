@@ -18,12 +18,13 @@ provided here.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
+from repro.core.kernels import undirected_plan
 from repro.errors import ColoringError
 
 Coloring = Dict[VertexId, int]
@@ -38,23 +39,21 @@ def greedy_coloring(
     ``order`` selects the vertex visiting order: ``"degree"`` (largest
     degree first — the classic Welsh-Powell heuristic, usually fewest
     colors) or ``"natural"`` (insertion order — deterministic and cheap).
+    The returned dict lists vertices in visiting order.
     """
-    if order == "degree":
-        vertices = sorted(
-            graph.vertices(), key=lambda v: (-graph.degree(v), _sort_token(v))
-        )
-    elif order == "natural":
-        vertices = list(graph.vertices())
-    else:
+    if order not in ("degree", "natural"):
         raise ColoringError(f"unknown coloring order {order!r}")
-    colors: Coloring = {}
-    for v in vertices:
-        taken = {colors[u] for u in graph.neighbors(v) if u in colors}
-        color = 0
-        while color in taken:
-            color += 1
-        colors[v] = color
-    return colors
+    vertex_ids, adjacency = _adjacency(graph)
+    visit = (
+        _degree_order(vertex_ids, adjacency)
+        if order == "degree"
+        else range(len(vertex_ids))
+    )
+    # -1 marks "not yet colored"; it never collides with a real color.
+    color = [-1] * len(vertex_ids)
+    for i in visit:
+        color[i] = _first_free(set(map(color.__getitem__, adjacency[i])))
+    return {vertex_ids[i]: color[i] for i in visit}
 
 
 def second_order_coloring(graph: DataGraph) -> Coloring:
@@ -63,23 +62,52 @@ def second_order_coloring(graph: DataGraph) -> Coloring:
     No vertex shares a color with any vertex within two hops, so scopes of
     same-color vertices never overlap at all (Fig. 2c, top row).
     """
-    vertices = sorted(
-        graph.vertices(), key=lambda v: (-graph.degree(v), _sort_token(v))
-    )
-    colors: Coloring = {}
-    for v in vertices:
+    vertex_ids, adjacency = _adjacency(graph)
+    visit = _degree_order(vertex_ids, adjacency)
+    color = [-1] * len(vertex_ids)
+    for i in visit:
+        # The two-hop walk passes back through i itself, which is still
+        # uncolored (-1) and so never blocks a color.
         taken = set()
-        for u in graph.neighbors(v):
-            if u in colors:
-                taken.add(colors[u])
-            for w in graph.neighbors(u):
-                if w != v and w in colors:
-                    taken.add(colors[w])
-        color = 0
-        while color in taken:
-            color += 1
-        colors[v] = color
-    return colors
+        for j in adjacency[i]:
+            taken.add(color[j])
+            taken.update(map(color.__getitem__, adjacency[j]))
+        color[i] = _first_free(taken)
+    return {vertex_ids[i]: color[i] for i in visit}
+
+
+def _adjacency(graph: DataGraph) -> Tuple[Tuple[VertexId, ...], List[List[int]]]:
+    """Vertex ids and per-vertex undirected neighbor index lists.
+
+    Read from the deduplicated undirected CSR the batch kernels share
+    (built from the compiled endpoint arrays and memoized on the
+    structure), so coloring never materializes the interpreter views.
+    """
+    graph.require_finalized()
+    csr = graph.compiled
+    offsets, targets = undirected_plan(csr)
+    flat = targets.tolist()
+    bounds = offsets.tolist()
+    adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    return csr.vertex_ids, adjacency
+
+
+def _degree_order(
+    vertex_ids: Tuple[VertexId, ...], adjacency: List[List[int]]
+) -> List[int]:
+    """Dense indices by descending degree, ties by :func:`_sort_token`."""
+    return sorted(
+        range(len(vertex_ids)),
+        key=lambda i: (-len(adjacency[i]), _sort_token(vertex_ids[i])),
+    )
+
+
+def _first_free(taken: Set[int]) -> int:
+    """Smallest non-negative color not in ``taken``."""
+    color = 0
+    while color in taken:
+        color += 1
+    return color
 
 
 def bipartite_coloring(
@@ -156,8 +184,13 @@ def validate_coloring(
 
     Edge consistency requires a proper coloring; full consistency a
     second-order coloring; vertex consistency accepts anything covering
-    all vertices.
+    all vertices. The checks are vectorized over the compiled endpoint
+    arrays: an edge's endpoints must differ in color, and under full
+    consistency every closed neighborhood ``{v} ∪ N(v)`` must be
+    rainbow — two vertices are within distance 2 iff some closed
+    neighborhood holds both.
     """
+    graph.require_finalized()
     missing = [v for v in graph.vertices() if v not in coloring]
     if missing:
         raise ColoringError(
@@ -165,21 +198,44 @@ def validate_coloring(
         )
     if model is Consistency.VERTEX:
         return
-    for v in graph.vertices():
-        for u in graph.neighbors(v):
-            if coloring[u] == coloring[v]:
-                raise ColoringError(
-                    f"adjacent vertices {v!r}, {u!r} share color "
-                    f"{coloring[v]}"
-                )
-            if model is Consistency.FULL:
-                for w in graph.neighbors(u):
-                    if w != v and coloring[w] == coloring[v]:
-                        raise ColoringError(
-                            f"distance-2 vertices {v!r}, {w!r} share color "
-                            f"{coloring[v]} (full consistency needs a "
-                            "second-order coloring)"
-                        )
+    csr = graph.compiled
+    vertex_ids = csr.vertex_ids
+    # Dense codes keep the check exact for any hashable color values.
+    codes: Dict[Any, int] = {}
+    color = np.fromiter(
+        (codes.setdefault(coloring[v], len(codes)) for v in vertex_ids),
+        dtype=np.int64,
+        count=len(vertex_ids),
+    )
+    clash = np.flatnonzero(
+        color[csr.edge_src_index] == color[csr.edge_dst_index]
+    )
+    if clash.size:
+        v, u = csr.edge_keys[clash[0]]
+        raise ColoringError(
+            f"adjacent vertices {v!r}, {u!r} share color {coloring[v]}"
+        )
+    if model is not Consistency.FULL:
+        return
+    # No edge is monochromatic (so no self-loop survives to here): any
+    # repeated color in a closed neighborhood is a distance-2 pair.
+    offsets, targets = undirected_plan(csr)
+    everyone = np.arange(len(vertex_ids))
+    hood = np.concatenate((everyone, np.repeat(everyone, np.diff(offsets))))
+    member = np.concatenate((everyone, targets))
+    order = np.lexsort((color[member], hood))
+    hood, member = hood[order], member[order]
+    clash = np.flatnonzero(
+        (hood[1:] == hood[:-1]) & (color[member[1:]] == color[member[:-1]])
+    )
+    if clash.size:
+        v = vertex_ids[member[clash[0]]]
+        w = vertex_ids[member[clash[0] + 1]]
+        raise ColoringError(
+            f"distance-2 vertices {v!r}, {w!r} share color "
+            f"{coloring[v]} (full consistency needs a "
+            "second-order coloring)"
+        )
 
 
 def color_classes(coloring: Coloring) -> List[List[VertexId]]:

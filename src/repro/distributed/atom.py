@@ -18,6 +18,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
+import numpy as np
+
 from repro.core.graph import DataGraph, VertexId
 from repro.distributed.models import DataSizeModel
 from repro.errors import AtomFormatError, PartitionError
@@ -173,6 +175,15 @@ def build_atoms(
     is journaled in the atom of its *source*; ghost vertex commands are
     appended for boundary vertices so playback can instantiate caches.
     """
+    atom_of = assignment_array(graph, assignment, num_atoms)
+    index = atom_index(graph, atom_of, num_atoms, sizes)
+    return atom_journals(graph, atom_of, index), index
+
+
+def assignment_array(
+    graph: DataGraph, assignment: Mapping[VertexId, int], num_atoms: int
+) -> np.ndarray:
+    """Validate ``assignment`` and return it in dense vertex-index order."""
     graph.require_finalized()
     missing = [v for v in graph.vertices() if v not in assignment]
     if missing:
@@ -185,59 +196,144 @@ def build_atoms(
         raise PartitionError(
             f"atom id {bad[0]} outside [0, {num_atoms})"
         )
+    return graph.compiled.dense_map(assignment)
 
-    owned: List[List[VertexId]] = [[] for _ in range(num_atoms)]
-    for v in graph.vertices():
-        owned[assignment[v]].append(v)
 
+def _cut_edges(graph: DataGraph, atom_of: np.ndarray):
+    """Endpoint indices and atoms of the edges crossing atoms."""
+    csr = graph.compiled
+    src, dst = csr.edge_src_index, csr.edge_dst_index
+    src_atom, dst_atom = atom_of[src], atom_of[dst]
+    cut = src_atom != dst_atom
+    return src[cut], dst[cut], src_atom[cut], dst_atom[cut]
+
+
+def atom_index(
+    graph: DataGraph,
+    atom_of: np.ndarray,
+    num_atoms: int,
+    sizes: DataSizeModel = DataSizeModel(),
+) -> AtomIndex:
+    """The atom index of a dense vertex -> atom array.
+
+    Computed from the compiled endpoint arrays alone: vertex counts by
+    ``bincount``, cross-atom connectivity by counting unique
+    ``(min, max)`` atom pairs over cut edges, and each atom's modeled
+    journal size (owned vertices, structural ghost entries, and the
+    out-edges of owned vertices, each plus the per-command overhead).
+    """
+    csr = graph.compiled
+    num_vertices = len(csr.vertex_ids)
+    src, dst, src_atom, dst_atom = _cut_edges(graph, atom_of)
+    pairs, weights = np.unique(
+        np.minimum(src_atom, dst_atom) * num_atoms
+        + np.maximum(src_atom, dst_atom),
+        return_counts=True,
+    )
+    connectivity = {
+        (a, b): w
+        for a, b, w in zip(
+            (pairs // num_atoms).tolist(),
+            (pairs % num_atoms).tolist(),
+            weights.tolist(),
+        )
+    }
+    # A ghost is a distinct (atom, foreign endpoint) pair.
+    ghost_keys = np.unique(
+        np.concatenate(
+            (src_atom * num_vertices + dst, dst_atom * num_vertices + src)
+        )
+    )
+    ghost_counts = np.bincount(
+        ghost_keys // max(num_vertices, 1), minlength=num_atoms
+    )
+    if callable(sizes.vertex_bytes):
+        vertex_bytes = np.fromiter(
+            (sizes.vbytes(v) for v in csr.vertex_ids),
+            dtype=np.float64,
+            count=num_vertices,
+        )
+    else:
+        vertex_bytes = np.full(num_vertices, sizes.vbytes(None))
+    if callable(sizes.edge_bytes):
+        edge_bytes = np.fromiter(
+            (sizes.ebytes(s, d) for s, d in csr.edge_keys),
+            dtype=np.float64,
+            count=len(csr.edge_keys),
+        )
+    else:
+        edge_bytes = np.full(len(csr.edge_keys), sizes.ebytes(None, None))
+    size = (
+        np.bincount(
+            atom_of,
+            weights=vertex_bytes + COMMAND_OVERHEAD_BYTES,
+            minlength=num_atoms,
+        )
+        + COMMAND_OVERHEAD_BYTES * ghost_counts
+        + np.bincount(
+            atom_of[csr.edge_src_index],
+            weights=edge_bytes + COMMAND_OVERHEAD_BYTES,
+            minlength=num_atoms,
+        )
+    )
+    counts = np.bincount(atom_of, minlength=num_atoms)
+    return AtomIndex(
+        num_atoms=num_atoms,
+        vertex_counts=dict(enumerate(counts.tolist())),
+        sizes=dict(enumerate(size.tolist())),
+        connectivity=connectivity,
+    )
+
+
+def atom_journals(
+    graph: DataGraph, atom_of: np.ndarray, index: AtomIndex
+) -> List[Atom]:
+    """The journal of every atom, sized by ``index``.
+
+    Per atom: ``AddVertex`` for owned vertices (with data, in vertex
+    order), structural ``AddVertex`` for ghosts (no data; the cache is
+    filled during ingress synchronization), then ``AddEdge`` for the
+    out-edges of owned vertices.
+    """
+    csr = graph.compiled
+    vertex_ids = csr.vertex_ids
+    num_atoms = index.num_atoms
+    owned: List[List[int]] = [[] for _ in range(num_atoms)]
+    for i, atom_id in enumerate(atom_of.tolist()):
+        owned[atom_id].append(i)
     ghosts: List[set] = [set() for _ in range(num_atoms)]
-    cross: Dict[Tuple[int, int], int] = {}
-    for (u, w) in graph.edges():
-        au, aw = assignment[u], assignment[w]
-        if au != aw:
-            ghosts[au].add(w)
-            ghosts[aw].add(u)
-            key = (min(au, aw), max(au, aw))
-            cross[key] = cross.get(key, 0) + 1
-
+    src, dst, src_atom, dst_atom = _cut_edges(graph, atom_of)
+    for s, d, a, b in zip(
+        src.tolist(), dst.tolist(), src_atom.tolist(), dst_atom.tolist()
+    ):
+        ghosts[a].add(vertex_ids[d])
+        ghosts[b].add(vertex_ids[s])
+    out_offsets = csr.out_offsets.tolist()
+    out_targets = csr.out_targets.tolist()
     atoms: List[Atom] = []
-    vertex_counts: Dict[int, int] = {}
-    atom_sizes: Dict[int, float] = {}
     for atom_id in range(num_atoms):
-        commands: List[AtomCommand] = []
-        size = 0.0
-        for v in owned[atom_id]:
-            commands.append(
-                AtomCommand(ADD_VERTEX, (v,), graph.vertex_data(v))
-            )
-            size += sizes.vbytes(v) + COMMAND_OVERHEAD_BYTES
-        for v in sorted(ghosts[atom_id], key=repr):
-            # Ghost vertices are journaled structurally (no data; the
-            # cache is filled during ingress synchronization).
-            commands.append(AtomCommand(ADD_VERTEX, (v,), None))
-            size += COMMAND_OVERHEAD_BYTES
-        for v in owned[atom_id]:
-            for w in graph.out_neighbors(v):
+        members = [vertex_ids[i] for i in owned[atom_id]]
+        commands = [
+            AtomCommand(ADD_VERTEX, (v,), csr.vertex_data(v)) for v in members
+        ]
+        commands.extend(
+            AtomCommand(ADD_VERTEX, (v,), None)
+            for v in sorted(ghosts[atom_id], key=repr)
+        )
+        for i in owned[atom_id]:
+            v = vertex_ids[i]
+            for j in out_targets[out_offsets[i]:out_offsets[i + 1]]:
+                w = vertex_ids[j]
                 commands.append(
-                    AtomCommand(ADD_EDGE, (v, w), graph.edge_data(v, w))
+                    AtomCommand(ADD_EDGE, (v, w), csr.edge_data(v, w))
                 )
-                size += sizes.ebytes(v, w) + COMMAND_OVERHEAD_BYTES
         atoms.append(
             Atom(
                 atom_id=atom_id,
                 commands=commands,
-                owned_vertices=frozenset(owned[atom_id]),
+                owned_vertices=frozenset(members),
                 ghost_vertices=frozenset(ghosts[atom_id]),
-                size_bytes=size,
+                size_bytes=index.sizes[atom_id],
             )
         )
-        vertex_counts[atom_id] = len(owned[atom_id])
-        atom_sizes[atom_id] = size
-
-    index = AtomIndex(
-        num_atoms=num_atoms,
-        vertex_counts=vertex_counts,
-        sizes=atom_sizes,
-        connectivity=cross,
-    )
-    return atoms, index
+    return atoms

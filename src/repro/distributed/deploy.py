@@ -13,14 +13,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Union
 
+import numpy as np
+
 from repro.core.graph import DataGraph, VertexId
-from repro.distributed.atom import Atom, AtomIndex, build_atoms
+from repro.distributed.atom import (
+    Atom,
+    AtomIndex,
+    assignment_array,
+    atom_index,
+    atom_journals,
+)
 from repro.distributed.dfs import DistributedFileSystem
 from repro.distributed.graph_store import LocalGraphStore
 from repro.distributed.ingress import (
     IngressReport,
     distributed_load,
-    ownership_from_placement,
     store_atoms,
 )
 from repro.distributed.models import DataSizeModel
@@ -57,7 +64,7 @@ class Deployment:
 
 
 class OwnershipPlan:
-    """Atoms, placement, and vertex ownership — no cluster attached.
+    """Atom index, placement, and vertex ownership — no cluster attached.
 
     The simulator-free half of :func:`deploy`: everything the two-phase
     partitioning pipeline (Sec. 4.1) produces before any machine exists.
@@ -66,17 +73,28 @@ class OwnershipPlan:
     path — ``random_hash_assignment`` and :meth:`AtomIndex.place` are
     deterministic, making vertex ownership reproducible across backends.
 
-    ``placement`` and ``owner`` are computed lazily: :func:`deploy`'s
-    ingress path derives ownership from journal playback itself and
-    only needs the atoms + index.
+    The runtime's half of the plan is array-derived: the atom index
+    comes from the compiled endpoint arrays
+    (:func:`~repro.distributed.atom.atom_index`), and ownership is the
+    placement gathered through the dense vertex -> atom array. The atom
+    journals (with their modeled sizes) are built lazily, on first
+    access to :attr:`atoms` — only the simulator's :func:`deploy`
+    stores and replays them.
     """
 
     def __init__(
-        self, atoms: List[Atom], index: AtomIndex, num_machines: int
+        self,
+        graph: DataGraph,
+        atom_of: np.ndarray,
+        num_atoms: int,
+        num_machines: int,
+        sizes: DataSizeModel,
     ) -> None:
-        self.atoms = atoms
-        self.index = index
+        self.graph = graph
+        #: Atom of every vertex, in dense vertex-index order.
+        self.atom_of = atom_of
         self.num_machines = num_machines
+        self.index = atom_index(graph, atom_of, num_atoms, sizes)
 
     @cached_property
     def placement(self) -> Dict[int, int]:
@@ -84,9 +102,26 @@ class OwnershipPlan:
         return self.index.place(self.num_machines)
 
     @cached_property
+    def owner_index(self) -> np.ndarray:
+        """Machine of every vertex, in dense vertex-index order."""
+        placement = self.placement
+        machine_of = np.array(
+            [placement[a] for a in range(self.index.num_atoms)],
+            dtype=np.int64,
+        )
+        return machine_of[self.atom_of]
+
+    @cached_property
     def owner(self) -> Dict[VertexId, int]:
         """Vertex -> machine ownership induced by :attr:`placement`."""
-        return ownership_from_placement(self.atoms, self.placement)
+        return dict(
+            zip(self.graph.compiled.vertex_ids, self.owner_index.tolist())
+        )
+
+    @cached_property
+    def atoms(self) -> List[Atom]:
+        """The atom journals (simulated DFS ingress only)."""
+        return atom_journals(self.graph, self.atom_of, self.index)
 
 
 def plan_ownership(
@@ -101,9 +136,9 @@ def plan_ownership(
 
     Runs the graph-cut + atom-index placement phase of Fig. 5a without
     touching the simulator: choose (or accept) an assignment into
-    ``atoms_per_machine * num_machines`` atoms, build the atom journals
-    and index, and place atoms greedily (on demand). :func:`deploy`
-    layers the simulated DFS/ingress on top of this plan.
+    ``atoms_per_machine * num_machines`` atoms, build the atom index,
+    and place atoms greedily (on demand). :func:`deploy` layers the
+    simulated DFS/ingress — and the atom journals — on top of this plan.
     """
     graph.require_finalized()
     num_atoms = max(1, atoms_per_machine) * num_machines
@@ -119,8 +154,13 @@ def plan_ownership(
                     f"{sorted(_PARTITIONERS)}"
                 ) from None
         assignment = partitioner(graph, num_atoms)
-    atoms, index = build_atoms(graph, assignment, num_atoms, sizes=sizes)
-    return OwnershipPlan(atoms=atoms, index=index, num_machines=num_machines)
+    return OwnershipPlan(
+        graph,
+        assignment_array(graph, assignment, num_atoms),
+        num_atoms,
+        num_machines,
+        sizes=sizes,
+    )
 
 
 def deploy(

@@ -6,13 +6,21 @@ the same color-step schedule (all scheduled vertices of one color run in
 parallel, full communication barrier between colors — Sec. 4.2.1), the
 same per-shard storage (:class:`~repro.distributed.graph_store.
 LocalGraphStore` with version-filtered ghosts), the same partitioning
-pipeline (:func:`~repro.distributed.deploy.plan_ownership`: atoms,
+pipeline (:func:`~repro.distributed.deploy.plan_ownership`: atom cut,
 atom-index placement, vertex ownership — deterministic, so placement is
 reproducible across the simulator and this backend), and the same sync
 aggregation between sweeps (Eq. 2: per-worker partials, master combine,
 broadcast). What changes is only *where* updates run: on worker OS
 processes via a :class:`~repro.runtime.transport.Transport`, instead of
 simulated machines on a discrete-event kernel.
+
+Coordinator ingress runs on the compiled CSR arrays: the coloring is
+computed and validated over the deduplicated undirected adjacency, and
+the ownership plan's atom index and ``owner`` map are array-derived.
+The atom journals are a lazy attribute of the plan that only the
+simulator's :func:`~repro.distributed.deploy.deploy` reads, and
+construction never touches the interpreter views (``graph.neighbors``),
+so on a typed-column graph the coordinator never materializes them.
 
 Two mechanisms keep the communication cost near zero (the intra-node
 story of Sec. 4.2.1, where ghost propagation is a memory write, not a
@@ -434,7 +442,7 @@ class RuntimeChromaticEngine:
         csr = graph.compiled
         self._csr = csr
         self._num_vertices = len(csr.vertex_ids)
-        self._owner_idx = csr.dense_map(self.owner)
+        self._owner_idx = self.plan.owner_index
         index_of = csr.index_of
         self._class_idx = [
             np.fromiter(

@@ -253,9 +253,8 @@ class RuntimeLockingEngine:
         self.use_plane = use_plane
         self._plane_ring_cap = plane_ring_cap
         self.trace = trace
-        csr = graph.compiled
-        self._csr = csr
-        self._owner_idx = csr.dense_map(self.owner)
+        self._csr = graph.compiled
+        self._owner_idx = self.plan.owner_index
         self.updates_per_worker: Dict[int, int] = {
             w: 0 for w in range(num_workers)
         }

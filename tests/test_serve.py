@@ -17,6 +17,7 @@ Each runs over both front ends (in-process and socket), seeded.
 
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestTransportSingleUse:
 # ----------------------------------------------------------------------
 # Read/write basics through the in-process front end.
 # ----------------------------------------------------------------------
+def _wait_quiescent(service, timeout=30.0):
+    """Block until the service's background work has drained."""
+    deadline = time.monotonic() + timeout
+    while not service.stats()["quiescent"]:
+        if time.monotonic() > deadline:
+            raise TimeoutError("service never became quiescent")
+        time.sleep(0.001)
+
+
 class TestServingBasics:
     def test_read_write_read_with_versions(self):
         graph = build_serving_graph(16, seed=1)
@@ -86,6 +96,10 @@ class TestServingBasics:
             first = client.read(3)
             assert isinstance(first, ReadReply)
             assert first.vertex == 3
+            # The warm-up pump may still be recomputing vertex 3; an
+            # unscheduled write landing before it finishes would be
+            # overwritten, so write only once the service is quiescent.
+            _wait_quiescent(service)
             ack = client.write(3, 0.5, schedule=False)
             assert isinstance(ack, WriteReply)
             assert ack.scheduled == 0
