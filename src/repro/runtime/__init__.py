@@ -5,7 +5,19 @@ on a discrete-event simulator; this package *performs* it on OS
 processes. The same update functions, the same ghost/version coherence
 protocol (on slot-addressed :class:`CSRShardStore` shards sharing the
 compiled CSR structure), the same atom-based placement — executed by
-:class:`RuntimeChromaticEngine` over a :class:`Transport`:
+both of the paper's engines over a :class:`Transport`:
+
+* :class:`RuntimeChromaticEngine` — color-step sweeps (Sec. 4.2.1),
+  bit-identical to the sequential color-sweep oracle;
+* :class:`RuntimeLockingEngine` — pipelined distributed locking
+  (Sec. 4.2.2) with Misra-token termination.
+
+Both inherit one coordinator lifecycle from
+:class:`~repro.runtime.coordinator.RuntimeCoordinator` — launch,
+snapshots, respawn-and-rollback recovery, the serving surface
+(``open_service`` / ``close_service``) and the final collect into a
+:class:`RuntimeRunResult` — so each engine supplies only its round
+policy. The transports:
 
 * :class:`MpTransport` — one process per worker over ``multiprocessing``
   pipes; real parallelism, real barriers;
@@ -32,7 +44,8 @@ from repro.runtime.checkpoint import (
     SnapshotDirectory,
     merge_journals,
 )
-from repro.runtime.engine import RuntimeChromaticEngine, RuntimeRunResult
+from repro.runtime.coordinator import RuntimeRunResult
+from repro.runtime.engine import RuntimeChromaticEngine
 from repro.runtime.locking import RuntimeLockingEngine
 from repro.runtime.oracle import ColorSweepScheduler
 from repro.runtime.plane import (

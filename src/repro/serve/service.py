@@ -44,7 +44,8 @@ from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
 from repro.errors import EngineError
 from repro.obs.metrics import percentile
-from repro.runtime.engine import RuntimeChromaticEngine, RuntimeRunResult
+from repro.runtime.coordinator import RuntimeRunResult
+from repro.runtime.engine import RuntimeChromaticEngine
 from repro.runtime.locking import RuntimeLockingEngine
 from repro.runtime.program import named_program
 from repro.serve.protocol import (
@@ -118,7 +119,7 @@ class GraphService:
     Lifecycle: :meth:`start` (or ``with service:``) launches and parks
     the cluster; :meth:`submit` / :meth:`request` serve traffic from any
     number of client threads; :meth:`close` drains and returns the
-    engine's :class:`~repro.runtime.result.RuntimeRunResult`, whose
+    engine's :class:`~repro.runtime.coordinator.RuntimeRunResult`, whose
     telemetry carries the per-request serving spans.
     """
 
