@@ -3,11 +3,13 @@
 The simulator reproduces the paper's fault-tolerance story on a modeled
 DFS (:mod:`repro.distributed.snapshot`); this module is its on-disk
 twin for the runtime engines: numbered snapshot directories holding one
-journal per worker — the exact per-machine path scheme and payload
-shape of the simulated DFS (``snapshot/<id>/machine-<worker>``,
-``{"vdata", "edata", "versions"}`` plus runtime extras the simulator's
-restore ignores) — a coordinator-side manager that writes and reads
-them, and the cadence rule deciding *when* to snapshot.
+journal per worker at the simulated DFS's per-machine paths
+(``snapshot/<id>/machine-<worker>``), a coordinator-side manager that
+writes and reads them, and the cadence rule deciding *when* to
+snapshot. Where the simulator's journals are id-keyed dicts, a runtime
+journal is *flat*: the worker's owned slots as column slices in the
+compiled numbering, so taking, writing, merging and restoring a
+snapshot are a few array passes rather than a loop over vertices.
 
 Two construction modes share this layout:
 
@@ -25,10 +27,21 @@ previous complete snapshot remains the recovery point.
 
 On-disk format of one snapshot (``<root>/snapshot/<id>/``)::
 
-    machine-<w>   pickled journal of worker w: {"vdata", "edata",
-                  "versions"} plus engine extras (sched state etc.)
+    machine-<w>   pickled flat journal of worker w — its owned slots
+                  in the compiled numbering (JOURNAL_FIELDS):
+                  "v_index" / "e_slot" (int32 vertex indices and edge
+                  slots, ascending; an edge belongs to its source
+                  endpoint's owner), "v_value" / "e_value" (numpy
+                  arrays for typed columns, lists for object columns),
+                  "v_version" / "e_version" (int64) — plus engine
+                  extras: "counts" ({vertex id: updates}) and, for the
+                  locking engine, "sched" ([(index, priority)])
     meta          pickled coordinator bookkeeping (progress counters,
-                  globals, the task-set mask)
+                  globals, the task-set mask) plus "journal_format"
+                  (JOURNAL_FORMAT) and "structure" (vertex count, edge
+                  count and a CRC32 of the edge endpoint index arrays,
+                  see structure_fingerprint); a restore refuses a
+                  snapshot whose marker or fingerprint differs
     MANIFEST      pickled {basename: {"bytes": int, "crc32": int}}
                   covering every machine-<w> journal and meta; crc32 is
                   ``zlib.crc32(blob) & 0xFFFFFFFF`` of the exact bytes
@@ -49,13 +62,19 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.distributed.snapshot import snapshot_file, suggested_interval
 from repro.errors import SnapshotError
+from repro.runtime.shard import JOURNAL_FIELDS
 
 #: Coordinator-side metadata file inside a snapshot directory.
 META_NAME = "meta"
+#: Journal format written into every meta record (``journal_format``).
+JOURNAL_FORMAT = "flat-csr/1"
 #: Marker whose existence makes a snapshot recoverable.
 COMPLETE_NAME = "COMPLETE"
 #: Integrity record: sizes + CRCs of every journal and the meta file.
@@ -232,23 +251,75 @@ class SnapshotDirectory:
 
 
 def merge_journals(journals: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Union of per-worker journals into one global restore payload.
+    """Union of per-worker flat journals into one global restore state.
 
     Journals partition the graph by ownership (every owned vertex, every
-    edge at its source-endpoint owner), so the union covers each slot
-    exactly once. The merged payload is what every worker — survivor or
-    respawn — applies through
-    :meth:`~repro.runtime.shard.CSRShardStore.restore_checkpoint`, each
+    edge at its source-endpoint owner), so the per-field concatenation
+    of :data:`~repro.runtime.shard.JOURNAL_FIELDS` covers each vertex
+    index and edge slot exactly once. The merged state is what every
+    worker — survivor or respawn — applies through
+    :meth:`~repro.runtime.shard.CSRShardStore.restore_flat`, each
     filtering down to the slots it holds: ghosts roll back to their
     owner's snapshot values, which is exactly what makes the restored
-    cluster state consistent.
+    cluster state consistent. Array fields (indices, versions, typed
+    values) concatenate as arrays, object values as one list.
     """
-    merged: Dict[str, Any] = {"vdata": {}, "edata": {}, "versions": {}}
-    for journal in journals:
-        merged["vdata"].update(journal.get("vdata", {}))
-        merged["edata"].update(journal.get("edata", {}))
-        merged["versions"].update(journal.get("versions", {}))
+    merged: Dict[str, Any] = {}
+    for name in JOURNAL_FIELDS:
+        parts = [journal[name] for journal in journals]
+        nonempty = [part for part in parts if len(part)]
+        if not nonempty:
+            merged[name] = parts[0] if parts else []
+        elif isinstance(nonempty[0], np.ndarray):
+            merged[name] = np.concatenate(nonempty)
+        else:
+            merged[name] = list(chain.from_iterable(nonempty))
     return merged
+
+
+def structure_fingerprint(csr: Any) -> Dict[str, int]:
+    """What a flat journal's indices are relative to: the compiled
+    graph's vertex count, edge count, and a CRC32 over its edge endpoint
+    index arrays (as little-endian int64, so the value is portable)."""
+    crc = 0
+    for array in (csr.edge_src_index, csr.edge_dst_index):
+        crc = zlib.crc32(np.asarray(array, dtype="<i8").tobytes(), crc)
+    return {
+        "vertices": len(csr.vertex_ids),
+        "edges": len(csr.edge_keys),
+        "crc32": crc & 0xFFFFFFFF,
+    }
+
+
+def check_snapshot_compatible(
+    meta: Dict[str, Any], fingerprint: Dict[str, int]
+) -> None:
+    """Raise :class:`SnapshotError` unless a snapshot's meta record says
+    its journals are flat journals over this exact compiled structure.
+
+    Flat indices only mean something against the numbering they were
+    gathered in: a snapshot of another graph, or one written in the old
+    id-keyed journal format (no ``journal_format`` marker), would
+    otherwise misrestore silently or fail deep inside a restore round.
+    """
+    found = meta.get("journal_format")
+    if found != JOURNAL_FORMAT:
+        raise SnapshotError(
+            f"snapshot journal format is {found!r}, expected "
+            f"{JOURNAL_FORMAT!r} (a snapshot directory written with "
+            "id-keyed journals cannot be restored; start a fresh one)"
+        )
+    structure = meta.get("structure") or {}
+    if structure != fingerprint:
+        diffs = ", ".join(
+            f"{key} {structure.get(key)!r} in the snapshot vs "
+            f"{fingerprint[key]!r} here"
+            for key in sorted(fingerprint)
+            if structure.get(key) != fingerprint[key]
+        )
+        raise SnapshotError(
+            f"snapshot was taken on a different graph structure ({diffs})"
+        )
 
 
 class SnapshotCadence:

@@ -33,11 +33,12 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.consistency import Consistency, edge_key, vertex_key
+from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
 from repro.core.sync import GlobalValues
 from repro.distributed.deploy import OwnershipPlan, plan_ownership
@@ -45,12 +46,16 @@ from repro.errors import EngineError, SnapshotError
 from repro.obs.events import Stopwatch
 from repro.obs.timeline import RunTelemetry, TimelineCollector, drain_telemetry
 from repro.runtime.checkpoint import (
+    JOURNAL_FORMAT,
     CheckpointManager,
     SnapshotCadence,
+    check_snapshot_compatible,
     merge_journals,
+    structure_fingerprint,
 )
 from repro.runtime.plane import plane_spec_for
 from repro.runtime.program import check_picklable
+from repro.runtime.shard import gather_journal, scatter_rows
 from repro.runtime.transport import Transport, WorkerFailure, make_transport
 from repro.runtime.worker import encode_worker
 
@@ -488,26 +493,42 @@ class RuntimeCoordinator:
         Taken before any round runs, so it needs no transport traffic —
         and therefore cannot itself be lost to an injected or real
         worker death: a failure in the very first round always has a
-        complete snapshot (the initial state) to recover to. Versions
-        are journaled as 0 so a restore force-resets survivors' version
-        clocks along with their values — without that, post-recovery
-        deliveries would be filtered as stale.
+        complete snapshot (the initial state) to recover to. Each
+        worker's flat journal is gathered straight off the compiled
+        columns by ownership. Versions are journaled as 0 so a restore
+        force-resets survivors' version clocks along with their values
+        — without that, post-recovery deliveries would be filtered as
+        stale.
         """
-        graph = self.graph
-        owner = self.owner
-        journals: List[Dict[str, Any]] = [
-            {"vdata": {}, "edata": {}, "versions": {}, "counts": {}}
-            for _ in range(self.num_workers)
-        ]
-        for v in graph.vertices():
-            journal = journals[owner[v]]
-            journal["vdata"][v] = graph.vertex_data(v)
-            journal["versions"][vertex_key(v)] = 0
-        for (a, b) in graph.edges():
-            journal = journals[owner[a]]
-            journal["edata"][(a, b)] = graph.edge_data(a, b)
-            journal["versions"][edge_key(a, b)] = 0
+        csr = self._csr
+        owner_idx = self._owner_idx
+        edge_owner = owner_idx[csr.edge_src_index]
+        journals: List[Dict[str, Any]] = []
+        for w in range(self.num_workers):
+            v_index = np.nonzero(owner_idx == w)[0].astype(np.int32)
+            e_slot = np.nonzero(edge_owner == w)[0].astype(np.int32)
+            journal = gather_journal(
+                csr.vdata, csr.edata, v_index, e_slot,
+                np.zeros(v_index.size, dtype=np.int64),
+                np.zeros(e_slot.size, dtype=np.int64),
+            )
+            journal["counts"] = {}
+            journals.append(journal)
         return journals
+
+    @cached_property
+    def _structure(self) -> Dict[str, int]:
+        """The compiled structure's fingerprint (see
+        :func:`~repro.runtime.checkpoint.structure_fingerprint`)."""
+        return structure_fingerprint(self._csr)
+
+    def _snapshot_record(self, *args: Any) -> Dict[str, Any]:
+        """The engine's :meth:`_snapshot_meta` plus the journal format
+        marker and structure fingerprint a restore checks first."""
+        meta = self._snapshot_meta(*args)
+        meta["journal_format"] = JOURNAL_FORMAT
+        meta["structure"] = self._structure
+        return meta
 
     def _baseline_snapshot(self) -> None:
         """Journal the initial state, coordinator-side (no rounds)."""
@@ -515,7 +536,7 @@ class RuntimeCoordinator:
             self._ckpt.write(
                 self._ckpt.next_id(),
                 self._baseline_journals(),
-                self._snapshot_meta(),
+                self._snapshot_record(),
             )
         self._cadence.mark(self._progress, sw.end, cost=sw.seconds)
 
@@ -546,11 +567,14 @@ class RuntimeCoordinator:
         ``run(resume_from=...)`` cold restarts.
 
         Every worker — a respawn *and* the survivors — applies the
-        merged journal (survivors' ghosts roll back to their owner's
-        snapshot values; that rollback is what makes the restored
-        cluster state consistent) and re-seeds its share of the
-        snapshot's task set.
+        merged flat journal (survivors' ghosts roll back to their
+        owner's snapshot values; that rollback is what makes the
+        restored cluster state consistent) and re-seeds its share of
+        the snapshot's task set. A snapshot of another graph structure
+        or journal format raises :class:`SnapshotError` before any
+        restore round.
         """
+        check_snapshot_compatible(meta, self._structure)
         merged = merge_journals(journals)
         scheds = self._rollback(meta, journals)
         globals_items = list(meta.get("globals", {}).items())
@@ -717,14 +741,14 @@ class RuntimeCoordinator:
         of which endpoint owner reports it. Columns on the data plane
         are read straight out of each worker's shared segment (owned
         slots are authoritative at their owner after the final inbox
-        applies); only plane-less columns travel pickled. Returns the
-        per-vertex update counts.
+        applies); only plane-less columns travel pickled, as the flat
+        journal's index/value slices, and are written back by slot.
+        Returns the per-vertex update counts.
         """
         replies = self._send_round("collect", {})
-        graph = self.graph
+        csr = self._csr
         plane = self._plane
         if plane is not None:
-            csr = self._csr
             spec = plane.spec
             owner_idx = self._owner_idx
             edge_owner = owner_idx[csr.edge_src_index]
@@ -740,10 +764,10 @@ class RuntimeCoordinator:
         self._collected(replies)
         counts: Dict[VertexId, int] = {}
         for reply in replies:
-            for v, value in reply.get("vdata", {}).items():
-                graph.set_vertex_data(v, value)
-            for (a, b), value in reply.get("edata", {}).items():
-                graph.set_edge_data(a, b, value)
+            if "v_index" in reply:
+                scatter_rows(csr.vdata, reply["v_index"], reply["v_value"])
+            if "e_slot" in reply:
+                scatter_rows(csr.edata, reply["e_slot"], reply["e_value"])
             counts.update(reply["counts"])
         return counts
 

@@ -443,7 +443,7 @@ class RuntimeChromaticEngine(RuntimeCoordinator):
         with Stopwatch(self._rec, "snap") as sw:
             snapshot_id = self._ckpt.next_id()
             journals = self._send_round("checkpoint", {})
-            self._ckpt.write(snapshot_id, journals, self._snapshot_meta())
+            self._ckpt.write(snapshot_id, journals, self._snapshot_record())
         self._cadence.mark(self._sweeps, sw.end, cost=sw.seconds)
 
     def _rollback(

@@ -513,7 +513,7 @@ class RuntimeLockingEngine(RuntimeCoordinator):
         journals = self._send_round("checkpoint", {})
         self._rounds += 1
         self._ckpt.write(
-            snapshot_id, journals, self._snapshot_meta("sync")
+            snapshot_id, journals, self._snapshot_record("sync")
         )
         sw.stop()
         self._cadence.mark(self._rounds, sw.end, cost=sw.seconds)
@@ -535,7 +535,7 @@ class RuntimeLockingEngine(RuntimeCoordinator):
         state = self._async
         self._async = None
         self._ckpt.finalize_async(
-            state["id"], self._snapshot_meta("async"), crcs=snap_crcs
+            state["id"], self._snapshot_record("async"), crcs=snap_crcs
         )
         # Worker-side journal bytes aren't visible to finalize_async;
         # fold the reported sizes into the coordinator's accounting.

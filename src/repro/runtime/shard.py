@@ -22,6 +22,14 @@ same :class:`~repro.distributed.models.DataSizeModel` accounting, so the
 coordinator-side routing and any consumer of the simulated stores' entry
 format work unchanged.
 
+Snapshots use the same slot form: a journal (:data:`JOURNAL_FIELDS`)
+is the shard's owned vertex indices and edge slots with their values
+and versions, gathered off the columns in one fancy-index pass
+(:meth:`CSRShardStore.journal_flat`) and restored as one masked scatter
+(:meth:`CSRShardStore.restore_flat`). The id-keyed
+``checkpoint_payload`` / ``restore_checkpoint`` pair wraps them for the
+simulated engines.
+
 Scope contract: access is expected to come through
 :class:`~repro.core.scope.Scope`, whose adjacency checks confine reads
 to held data (the scope of an owned vertex is always fully held —
@@ -33,6 +41,7 @@ does check heldness, so misrouted deliveries are still dropped.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, FrozenSet, List, Mapping, Set, Tuple
 
 import numpy as np
@@ -42,6 +51,53 @@ from repro.core.graph import DataGraph, VertexId
 from repro.distributed.graph_store import ghost_write_targets
 from repro.distributed.models import VERSION_BYTES, DataSizeModel
 from repro.errors import GraphStructureError
+
+
+#: Fields of a flat journal — a worker's owned slots in the compiled
+#: numbering: owned vertex indices with their values and versions, then
+#: owned edge slots (source-endpoint ownership) with theirs. The same
+#: struct-of-arrays layout as a :class:`FlatEntries` batch.
+JOURNAL_FIELDS = (
+    "v_index", "v_value", "v_version", "e_slot", "e_value", "e_version"
+)
+
+
+def gather_rows(column: Any, index: np.ndarray) -> Any:
+    """``column[index]`` detached from the column: a numpy copy for a
+    typed column, a list for an object column."""
+    if isinstance(column, np.ndarray):
+        return column[index]
+    return [column[i] for i in index.tolist()]
+
+
+def scatter_rows(column: Any, index: Any, values: Any) -> None:
+    """``column[index] = values`` for typed and object columns alike."""
+    if isinstance(column, np.ndarray):
+        if len(index):
+            column[index] = values
+        return
+    for i, value in zip(np.asarray(index).tolist(), values):
+        column[i] = value
+
+
+def gather_journal(
+    vdata: Any,
+    edata: Any,
+    v_index: np.ndarray,
+    e_slot: np.ndarray,
+    v_version: np.ndarray,
+    e_version: np.ndarray,
+) -> Dict[str, Any]:
+    """One flat journal (:data:`JOURNAL_FIELDS`) gathered off the data
+    columns by fancy indexing."""
+    return {
+        "v_index": v_index,
+        "v_value": gather_rows(vdata, v_index),
+        "v_version": v_version,
+        "e_slot": e_slot,
+        "e_value": gather_rows(edata, e_slot),
+        "e_version": e_version,
+    }
 
 
 def _concat_field(a: Any, b: Any) -> Any:
@@ -133,6 +189,68 @@ class UndoLog:
         self.e_slots = e_slots
         self.e_vals = e_vals
         self.e_vers = e_vers
+
+
+class JournalBuilder:
+    """A flat journal grown one slot at a time.
+
+    The asynchronous snapshot (Alg. 5) journals each vertex when its
+    snapshot scope runs, concurrently with regular updates, so every row
+    is copied as it is added: a typed ``(k,)``-shaped row is a live view
+    of the column, and a later write must not leak into the cut. Edges
+    reachable from both endpoints are journaled once (slot mask).
+    """
+
+    __slots__ = ("_store", "_v", "_e", "_edge_seen")
+
+    def __init__(self, store: "CSRShardStore") -> None:
+        self._store = store
+        self._v: Tuple[List, List, List] = ([], [], [])
+        self._e: Tuple[List, List, List] = ([], [], [])
+        self._edge_seen = np.zeros(len(store._eversion), dtype=bool)
+
+    @staticmethod
+    def _add(rows: Tuple[List, List, List], column, versions, i) -> None:
+        value = column[i]
+        rows[0].append(i)
+        rows[1].append(
+            value.copy() if isinstance(column, np.ndarray) else value
+        )
+        rows[2].append(int(versions[i]))
+
+    def add_vertex(self, index: int) -> None:
+        store = self._store
+        self._add(self._v, store.vdata_flat, store._vversion, index)
+
+    def add_edge(self, slot: int) -> None:
+        if self._edge_seen[slot]:
+            return
+        self._edge_seen[slot] = True
+        store = self._store
+        self._add(self._e, store.edata_flat, store._eversion, slot)
+
+    @staticmethod
+    def _stack(column: Any, values: List) -> Any:
+        if not isinstance(column, np.ndarray):
+            return values
+        return np.array(values, dtype=column.dtype).reshape(
+            (len(values),) + column.shape[1:]
+        )
+
+    def finish(self) -> Dict[str, Any]:
+        """The journal in :data:`JOURNAL_FIELDS` form."""
+        store = self._store
+        (v_index, v_value, v_version), (e_slot, e_value, e_version) = (
+            self._v, self._e
+        )
+        return {
+            "v_index": np.array(v_index, dtype=np.int32),
+            "v_value": self._stack(store.vdata_flat, v_value),
+            "v_version": np.array(v_version, dtype=np.int64),
+            "e_slot": np.array(e_slot, dtype=np.int32),
+            "e_value": self._stack(store.edata_flat, e_value),
+            "e_version": np.array(e_version, dtype=np.int64),
+        }
 
 
 class CSRShardStore:
@@ -441,39 +559,19 @@ class CSRShardStore:
             v_idx = np.nonzero(vmask)[0]
         else:
             v_idx = np.unique(np.asarray(active, dtype=np.int64))
-        vdata = self.vdata_flat
-        edata = self.edata_flat
-        v_vals = (
-            vdata[v_idx]
-            if isinstance(vdata, np.ndarray)
-            else [vdata[i] for i in v_idx.tolist()]
-        )
-        e_vals = (
-            edata[e_slots]
-            if isinstance(edata, np.ndarray)
-            else [edata[s] for s in e_slots.tolist()]
-        )
         return UndoLog(
-            v_idx, v_vals, self._vversion[v_idx].copy(),
-            e_slots, e_vals, self._eversion[e_slots].copy(),
+            v_idx, gather_rows(self.vdata_flat, v_idx),
+            self._vversion[v_idx].copy(),
+            e_slots, gather_rows(self.edata_flat, e_slots),
+            self._eversion[e_slots].copy(),
         )
 
     def restore_scope(self, undo: UndoLog) -> None:
         """Revert an aborted speculative step (values, versions, dirty)."""
-        vdata = self.vdata_flat
-        if isinstance(vdata, np.ndarray):
-            vdata[undo.v_idx] = undo.v_vals
-        else:
-            for i, value in zip(undo.v_idx.tolist(), undo.v_vals):
-                vdata[i] = value
+        scatter_rows(self.vdata_flat, undo.v_idx, undo.v_vals)
         self._vversion[undo.v_idx] = undo.v_vers
         self._dirty_v[undo.v_idx] = False
-        edata = self.edata_flat
-        if isinstance(edata, np.ndarray):
-            edata[undo.e_slots] = undo.e_vals
-        else:
-            for s, value in zip(undo.e_slots.tolist(), undo.e_vals):
-                edata[s] = value
+        scatter_rows(self.edata_flat, undo.e_slots, undo.e_vals)
         self._eversion[undo.e_slots] = undo.e_vers
         self._dirty_e[undo.e_slots] = False
 
@@ -861,66 +959,141 @@ class CSRShardStore:
         """Slots changed since the last :meth:`collect_dirty`."""
         return int(self._dirty_v.sum()) + int(self._dirty_e.sum())
 
+    # ------------------------------------------------------------------
+    # Snapshots (runtime fault tolerance, Sec. 4.3).
+    # ------------------------------------------------------------------
+    def journal_flat(self) -> Dict[str, Any]:
+        """This shard's owned slots as one flat journal.
+
+        Fields are :data:`JOURNAL_FIELDS`: owned vertex indices and
+        owned edge slots — edges at their source endpoint's owner —
+        (int32, compiled numbering, ascending), their values gathered
+        off the columns (a numpy copy for typed columns, a list for
+        object columns) and their versions.
+        """
+        owned = self._owned_mask
+        v_index = np.nonzero(owned)[0].astype(np.int32)
+        e_slot = np.nonzero(owned[self._csr.edge_src_index])[0].astype(
+            np.int32
+        )
+        return gather_journal(
+            self.vdata_flat, self.edata_flat, v_index, e_slot,
+            self._vversion[v_index], self._eversion[e_slot],
+        )
+
+    def restore_flat(self, state: Mapping[str, Any]) -> None:
+        """Force-restore held slots from a (merged) flat journal.
+
+        The recovery inverse of :meth:`journal_flat`, applied with the
+        whole cluster's merged journals: this shard takes every entry it
+        holds — primaries *and* ghosts — and overwrites value and
+        version unconditionally; entries for slots it does not hold are
+        dropped, and held slots the state does not cover keep their
+        current value. Recovery rolls state *back*, so the monotone
+        version filter of :meth:`apply_flat` must not apply here. Dirty
+        flags are cleared wholesale: the post-restore state is globally
+        snapshot-consistent, so nothing needs to ship.
+        """
+        self._restore_rows(
+            state["v_index"], state["v_value"], state["v_version"],
+            self._held_v_mask, self.vdata_flat, self._vversion,
+        )
+        self._restore_rows(
+            state["e_slot"], state["e_value"], state["e_version"],
+            self._held_e_mask, self.edata_flat, self._eversion,
+        )
+        self._dirty_v[:] = False
+        self._dirty_e[:] = False
+
+    @staticmethod
+    def _restore_rows(
+        index: Any,
+        values: Any,
+        versions: Any,
+        held_mask: np.ndarray,
+        column: Any,
+        stored_versions: np.ndarray,
+    ) -> None:
+        index = np.asarray(index, dtype=np.intp)
+        keep = held_mask[index]
+        sel = index[keep]
+        if not sel.size:
+            return
+        stored_versions[sel] = np.asarray(versions)[keep]
+        if isinstance(column, np.ndarray):
+            column[sel] = np.asarray(values)[keep]
+        else:
+            scatter_rows(column, sel, compress(values, keep.tolist()))
+
     def checkpoint_payload(self) -> Dict[str, Any]:
-        """All owned data: same shape as ``LocalGraphStore``'s."""
-        payload: Dict[str, Any] = {"vdata": {}, "edata": {}, "versions": {}}
-        index_of = self._index_of
-        for v in self.owned_vertices:
-            index = index_of[v]
-            payload["vdata"][v] = self.vdata_flat[index]
-            payload["versions"][vertex_key(v)] = self._vversion[index]
+        """All owned data, id-keyed: same shape as ``LocalGraphStore``'s.
+
+        A thin envelope over :meth:`journal_flat` (the runtime's one
+        journal format) for the simulated engines, which speak the
+        simulated DFS's ``{"vdata", "edata", "versions"}`` payloads.
+        """
+        flat = self.journal_flat()
+        vertex_ids = self._csr.vertex_ids
         edge_keys = self._csr.edge_keys
-        machine_id = self.machine_id
-        owner = self.owner
-        for slot in np.nonzero(self._held_e_mask)[0].tolist():
+        vdata: Dict[VertexId, Any] = {}
+        edata: Dict[Tuple[VertexId, VertexId], Any] = {}
+        versions: Dict[DataKey, int] = {}
+        for index, value, version in zip(
+            flat["v_index"].tolist(), flat["v_value"],
+            flat["v_version"].tolist(),
+        ):
+            vid = vertex_ids[index]
+            vdata[vid] = value
+            versions[vertex_key(vid)] = version
+        for slot, value, version in zip(
+            flat["e_slot"].tolist(), flat["e_value"],
+            flat["e_version"].tolist(),
+        ):
             (a, b) = edge_keys[slot]
-            if owner[a] == machine_id:
-                payload["edata"][(a, b)] = self.edata_flat[slot]
-                payload["versions"][edge_key(a, b)] = self._eversion[slot]
-        return payload
+            edata[(a, b)] = value
+            versions[edge_key(a, b)] = version
+        return {"vdata": vdata, "edata": edata, "versions": versions}
 
     def restore_checkpoint(self, payload: Mapping[str, Any]) -> None:
-        """Force-restore held slots from a (merged) snapshot payload.
+        """Force-restore held slots from an id-keyed snapshot payload.
 
-        The recovery inverse of :meth:`checkpoint_payload`, applied with
-        the whole cluster's merged journals: this shard takes every slot
-        it holds — primaries *and* ghosts — and overwrites value and
-        version unconditionally. Recovery rolls state *back*, so the
-        monotone version filter of :meth:`apply_remote` must not apply
-        here. Slots the payload does not cover keep their current value
-        (a journal in ``LocalGraphStore``'s per-machine shape restores
-        just that machine's owned slots — same format, same semantics as
-        the simulator's restore). Dirty flags are cleared wholesale: the
-        post-restore state is globally snapshot-consistent, so nothing
-        needs to ship.
+        A thin envelope over :meth:`restore_flat` for the simulated
+        engines' ``LocalGraphStore``-shaped payloads (a single machine's
+        journal restores just that machine's owned slots — same
+        semantics as the simulator's restore). Unknown ids are skipped,
+        and a datum without a version entry keeps its current version.
         """
         versions = payload.get("versions", {})
         index_of = self._index_of
-        held_v = self._held_v_mask
-        vdata = self.vdata_flat
-        vversion = self._vversion
+        v_index: List[int] = []
+        v_value: List[Any] = []
+        v_version: List[int] = []
         for vid, value in payload.get("vdata", {}).items():
             index = index_of.get(vid)
-            if index is None or not held_v[index]:
+            if index is None:
                 continue
-            vdata[index] = value
-            version = versions.get(vertex_key(vid))
-            if version is not None:
-                vversion[index] = version
+            v_index.append(index)
+            v_value.append(value)
+            v_version.append(
+                versions.get(vertex_key(vid), self._vversion[index])
+            )
         edge_slot = self._edge_slot
-        held_e = self._held_e_mask
-        edata = self.edata_flat
-        eversion = self._eversion
+        e_slot: List[int] = []
+        e_value: List[Any] = []
+        e_version: List[int] = []
         for (a, b), value in payload.get("edata", {}).items():
             slot = edge_slot.get((a, b))
-            if slot is None or not held_e[slot]:
+            if slot is None:
                 continue
-            edata[slot] = value
-            version = versions.get(edge_key(a, b))
-            if version is not None:
-                eversion[slot] = version
-        self._dirty_v[:] = False
-        self._dirty_e[:] = False
+            e_slot.append(slot)
+            e_value.append(value)
+            e_version.append(
+                versions.get(edge_key(a, b), self._eversion[slot])
+            )
+        self.restore_flat({
+            "v_index": v_index, "v_value": v_value, "v_version": v_version,
+            "e_slot": e_slot, "e_value": e_value, "e_version": e_version,
+        })
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

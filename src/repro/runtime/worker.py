@@ -64,6 +64,7 @@ so the inter-color communication barrier of the chromatic engine
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
@@ -76,7 +77,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.consistency import Consistency, LockKind, edge_key, vertex_key
+from repro.core.consistency import Consistency, LockKind
 from repro.core.graph import DataGraph, VertexId
 from repro.core.kernels import independent_classes, kernel_of
 from repro.core.scheduler import make_scheduler
@@ -89,7 +90,7 @@ from repro.obs.events import SpanRecorder
 from repro.runtime.checkpoint import SnapshotDirectory
 from repro.runtime.liveness import HeartbeatPump
 from repro.runtime.plane import DataPlane, PlaneSpec, ShmDataPlane
-from repro.runtime.shard import CSRShardStore
+from repro.runtime.shard import CSRShardStore, JournalBuilder
 
 #: Inbox entry lists, keyed like the wire payloads.
 Inbox = Dict[str, Any]
@@ -404,16 +405,19 @@ class _PlaneClient:
 
         Columns living on the data plane are *not* pickled back — the
         coordinator reads owned slots straight out of this worker's
-        segment after the barrier; only plane-less columns travel.
+        segment after the barrier; only plane-less columns travel, as
+        the flat journal's index/value slices.
         """
         spec = self.plane.spec if self.plane is not None else None
         reply: Dict[str, Any] = {"counts": counts}
         if spec is None or not spec.has_v or not spec.has_e:
-            payload = self.store.checkpoint_payload()
+            journal = self.store.journal_flat()
             if spec is None or not spec.has_v:
-                reply["vdata"] = payload["vdata"]
+                reply["v_index"] = journal["v_index"]
+                reply["v_value"] = journal["v_value"]
             if spec is None or not spec.has_e:
-                reply["edata"] = payload["edata"]
+                reply["e_slot"] = journal["e_slot"]
+                reply["e_value"] = journal["e_value"]
         return reply
 
 
@@ -833,15 +837,15 @@ class RuntimeWorker(_PlaneClient):
 
         Runs at a sweep boundary; the residual inbox applies first —
         including any pending speculation verdict, so the journal always
-        reflects post-verdict state — and the reply is a journal in the
-        simulated DFS's per-machine shape plus the runtime's update
-        counts. The task set is *not* journaled here: the chromatic
-        coordinator's global mask is exact and rides the meta record.
+        reflects post-verdict state — and the reply is the shard's flat
+        journal plus the runtime's update counts. The task set is *not*
+        journaled here: the chromatic coordinator's global mask is exact
+        and rides the meta record.
         """
         self._apply_inbox(inbox)
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
-        payload = self.store.checkpoint_payload()
+        payload = self.store.journal_flat()
         payload["counts"] = self._counts_dict()
         if rec is not None:
             rec.span("snap", t0, perf_counter())
@@ -850,19 +854,19 @@ class RuntimeWorker(_PlaneClient):
     def _restore(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """Roll this worker back to a snapshot.
 
-        ``state`` is the cluster-wide merged journal (this shard filters
-        to its held slots — ghosts roll back to their owner's snapshot
-        values), ``counts`` the worker's journaled update counts,
-        ``sched`` the dense indices of its share of the snapshot task
-        set, ``globals`` the snapshot-time published values. Any pending
-        speculation is dropped first: the round it belonged to was
+        ``state`` is the cluster-wide merged flat journal (this shard
+        filters to its held slots — ghosts roll back to their owner's
+        snapshot values), ``counts`` the worker's journaled update
+        counts, ``sched`` the dense indices of its share of the snapshot
+        task set, ``globals`` the snapshot-time published values. Any
+        pending speculation is dropped first: the round it belonged to was
         aborted by the failure, and the restore overwrites its state
         anyway.
         """
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
         self._spec_pending = None
-        self.store.restore_checkpoint(payload["state"])
+        self.store.restore_flat(payload["state"])
         counts = payload.get("counts") or {}
         sched = payload.get("sched")
         if self.kernel is not None:
@@ -1374,9 +1378,7 @@ class LockingWorker(_PlaneClient):
             "marked": set(),
             "queued": set(),
             "queue": deque(),
-            "vdata": {},
-            "edata": {},
-            "versions": {},
+            "journal": JournalBuilder(self.store),
         }
         self._snap_seed()
 
@@ -1435,40 +1437,33 @@ class LockingWorker(_PlaneClient):
         """Alg. 5's snapshot update, run inside the fully locked scope.
 
         Save the vertex; save every adjacent edge *this worker owns*
-        (source-endpoint ownership, the journal partitioning rule) that
-        is not yet journaled; propagate to unmarked neighbors — locally
-        by queueing, remotely via ``ssched`` — then mark and release.
-        The ``(a, b) in edata`` dedup is what makes double delivery
-        harmless when both endpoints reach the same edge.
+        (source-endpoint ownership, the journal partitioning rule);
+        propagate to unmarked neighbors — locally by queueing, remotely
+        via ``ssched`` — then mark and release. Rows are copied into the
+        journal now, so writes after the mark stay out of the cut, and
+        the journal's edge-slot mask makes double delivery harmless when
+        both endpoints reach the same edge.
         """
         snap = self._snap
         vertex = ps.vertex
         if snap is not None and vertex not in snap["marked"]:
-            store = self.store
             index_of = self._index_of
+            edge_slot = self.graph.compiled.edge_slot
             marked = snap["marked"]
-            edata = snap["edata"]
-            versions = snap["versions"]
-            snap["vdata"][vertex] = store.vertex_data(vertex)
-            versions[vertex_key(vertex)] = int(
-                store._vversion[index_of[vertex]]
-            )
+            journal = snap["journal"]
+            journal.add_vertex(index_of[vertex])
             owner = self.owner
             me = self.worker_id
-            graph = self.graph
-            for u in graph.neighbors(vertex):
+            for u in self.graph.neighbors(vertex):
                 owned_u = owner[u] == me
                 if owned_u and u in marked:
                     continue
                 for a, b in ((u, vertex), (vertex, u)):
                     if owner[a] != me:
                         continue
-                    if not graph.has_edge(a, b) or (a, b) in edata:
-                        continue
-                    edata[(a, b)] = store.edge_data(a, b)
-                    versions[edge_key(a, b)] = int(
-                        store._eversion[store._edge_slot[(a, b)]]
-                    )
+                    slot = edge_slot.get((a, b))
+                    if slot is not None:
+                        journal.add_edge(slot)
                 if owned_u:
                     self._snap_enqueue(u)
                 else:
@@ -1481,26 +1476,21 @@ class LockingWorker(_PlaneClient):
     def _snap_finish(self) -> Optional[Tuple[int, int]]:
         """Persist this worker's journal and end its snapshot epoch.
 
-        The journal carries the shard state in the simulated DFS's shape
-        plus the runtime extras recovery needs; the task set journaled
-        for an async snapshot is *every* owned vertex — the cut is
-        consistent but not quiescent, so recovery re-executes from a
-        full frontier and converges to the same fixed point.
+        The journal is the same flat format a synchronous snapshot
+        writes, plus the runtime extras recovery needs; the task set
+        journaled for an async snapshot is *every* owned vertex — the
+        cut is consistent but not quiescent, so recovery re-executes
+        from a full frontier and converges to the same fixed point.
         """
         snap = self._snap
         if snap is None:
             return None
         index_of = self._index_of
-        journal = {
-            "vdata": snap["vdata"],
-            "edata": snap["edata"],
-            "versions": snap["versions"],
-            "counts": dict(self.counts),
-            "sched": [
-                (int(index_of[v]), 0.0)
-                for v in self.store.owned_vertices
-            ],
-        }
+        journal = snap["journal"].finish()
+        journal["counts"] = dict(self.counts)
+        journal["sched"] = [
+            (int(index_of[v]), 0.0) for v in self.store.owned_vertices
+        ]
         nbytes, crc = SnapshotDirectory(snap["root"]).write_journal(
             snap["id"], self.worker_id, journal
         )
@@ -1550,7 +1540,7 @@ class LockingWorker(_PlaneClient):
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
         index_of = self._index_of
-        payload = self.store.checkpoint_payload()
+        payload = self.store.journal_flat()
         payload["counts"] = dict(self.counts)
         payload["sched"] = [
             (int(index_of[v]), float(priority))
@@ -1573,7 +1563,7 @@ class LockingWorker(_PlaneClient):
         """
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
-        self.store.restore_checkpoint(payload["state"])
+        self.store.restore_flat(payload["state"])
         self.counts = dict(payload.get("counts") or {})
         self.table = RWQueueCore(
             self._index_of[v] for v in self.store.owned_vertices
@@ -1707,6 +1697,12 @@ def serve(
     frames on the same pipe while a command is in flight — zero extra
     barriers, stripped coordinator-side before accounting.
     """
+    # A forked worker inherits the coordinator's heap and its collector
+    # counters; a full collection during worker init would then walk
+    # (and copy-on-write fault) every inherited object, at a moment set
+    # by the coordinator's allocation history. The worker never frees
+    # those objects, so move them out of its collector's reach.
+    gc.freeze()
     try:
         worker = worker_from_bytes(init_blob)
     except BaseException:

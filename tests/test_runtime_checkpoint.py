@@ -19,6 +19,7 @@ Both ``use_plane`` settings run, pinning the shm and the pipe wire
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.apps.pagerank import make_pagerank_update
@@ -247,8 +248,13 @@ class TestLockingCrashRecover:
         assert latest is not None
         journals = [directory.read_journal(latest, w) for w in range(3)]
         merged = merge_journals(journals)
-        assert set(merged["vdata"]) == set(g.vertices())
-        assert set(merged["edata"]) == set(g.edges())
+        csr = g.compiled
+        v_index = merged["v_index"].tolist()
+        e_slot = merged["e_slot"].tolist()
+        assert len(v_index) == len(set(v_index))
+        assert len(e_slot) == len(set(e_slot))
+        assert {csr.vertex_ids[i] for i in v_index} == set(g.vertices())
+        assert {csr.edge_keys[s] for s in e_slot} == set(g.edges())
         # Async snapshots exist alongside the sync baseline.
         metas = [
             directory.read_meta(s)
@@ -278,9 +284,24 @@ class TestCheckpointManager:
         assert got_sid == sid
         assert meta["rounds"] == 7
         assert got == journals
-        merged = merge_journals(got)
-        assert merged["vdata"] == {"v:0": 1.0, "v:1": 2.0}
-        assert merged["versions"] == {"v:0": 3, "v:1": 4}
+        # The same content as flat journals: vertex 0 at worker 0,
+        # vertex 1 at worker 1, versions 3 and 4, no edges.
+        flat = [
+            {
+                "v_index": np.array([w], dtype=np.int32),
+                "v_value": np.array([value]),
+                "v_version": np.array([version], dtype=np.int64),
+                "e_slot": np.zeros(0, dtype=np.int32),
+                "e_value": np.zeros(0),
+                "e_version": np.zeros(0, dtype=np.int64),
+            }
+            for w, (value, version) in enumerate(((1.0, 3), (2.0, 4)))
+        ]
+        merged = merge_journals(flat)
+        assert merged["v_index"].tolist() == [0, 1]
+        assert merged["v_value"].tolist() == [1.0, 2.0]
+        assert merged["v_version"].tolist() == [3, 4]
+        assert merged["e_slot"].size == 0
 
     def test_incomplete_snapshot_is_not_a_recovery_point(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), 1)
